@@ -43,6 +43,7 @@ import (
 	"repro/internal/rl"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetryhttp"
 	"repro/internal/tournament"
 )
 
@@ -99,7 +100,7 @@ func main() {
 	reg := telemetry.NewRegistry()
 	runner.InstrumentProcess(reg)
 	if *pprofAddr != "" {
-		bound, stop, err := telemetry.Serve(*pprofAddr, reg)
+		bound, stop, err := telemetryhttp.Serve(*pprofAddr, reg)
 		if err != nil {
 			fatal(err)
 		}

@@ -4,8 +4,9 @@
 // action, hot policy reload, and graceful drain.
 //
 // Transports: TCP and unix stream sockets speak the length-prefixed framing
-// of internal/serve; udp and unixgram endpoints speak the bare datagram
-// codec, so existing core.ServiceClient senders keep working.
+// of internal/serve; udp and unixgram endpoints speak the bare core codec,
+// one request per datagram. Every response carries a flags/version trailer
+// after the 16 codec bytes, which base-codec decoders can ignore.
 //
 // Policy artifacts: -policy accepts "reference", JSON actor weights, or a
 // quantized blob from cmd/astraea-quantize. JSON weights are compiled to
@@ -37,6 +38,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetryhttp"
 )
 
 func main() {
@@ -49,8 +51,7 @@ func main() {
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics and /debug/pprof on this address (e.g. :9090)")
 	pprofAddr := flag.String("pprof", "", "alias for -telemetry (the endpoint includes pprof)")
 	shards := flag.Int("shards", 0, "policy shards, each with its own evaluator and cloned policy (default GOMAXPROCS, capped at 16)")
-	maxInflight := flag.Int("max-inflight", 64, "compatibility knob: feeds the per-shard queue-depth default")
-	queueDepth := flag.Int("queue-depth", 0, "per-shard admission queue depth (default 4×max-inflight; overflow is shed)")
+	queueDepth := flag.Int("queue-depth", 256, "per-shard admission queue depth (overflow is shed)")
 	deadline := flag.Duration("deadline", 20*time.Millisecond, "per-request budget before the fallback action is returned")
 	window := flag.Duration("window", 5*time.Millisecond, "batching window of the shared service")
 	maxBatch := flag.Int("max-batch", 256, "batch flush threshold")
@@ -59,14 +60,14 @@ func main() {
 	flag.Parse()
 
 	if err := run(*listen, *policyArg, *floatPath, *reload, *telemetryAddr, *pprofAddr,
-		*shards, *maxInflight, *queueDepth, *deadline, *window, *maxBatch, *addrFile, *drainTimeout); err != nil {
+		*shards, *queueDepth, *deadline, *window, *maxBatch, *addrFile, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "astraea-serve:", err)
 		os.Exit(1)
 	}
 }
 
 func run(listen, policyArg string, floatPath bool, reload time.Duration, telemetryAddr, pprofAddr string,
-	shards, maxInflight, queueDepth int, deadline, window time.Duration, maxBatch int,
+	shards, queueDepth int, deadline, window time.Duration, maxBatch int,
 	addrFile string, drainTimeout time.Duration) error {
 
 	cfg := core.DefaultConfig()
@@ -93,10 +94,9 @@ func run(listen, policyArg string, floatPath bool, reload time.Duration, telemet
 	svc.BatchWindow = window
 	svc.MaxBatch = maxBatch
 	srv := serve.NewServer(svc, cfg, serve.Options{
-		Shards:      shards,
-		MaxInflight: maxInflight,
-		QueueDepth:  queueDepth,
-		Deadline:    deadline,
+		Shards:     shards,
+		QueueDepth: queueDepth,
+		Deadline:   deadline,
 	})
 	reg := telemetry.NewRegistry()
 	srv.Instrument(reg)
@@ -117,7 +117,7 @@ func run(listen, policyArg string, floatPath bool, reload time.Duration, telemet
 		telemetryAddr = pprofAddr
 	}
 	if telemetryAddr != "" {
-		bound, closeHTTP, err := telemetry.Serve(telemetryAddr, reg)
+		bound, closeHTTP, err := telemetryhttp.Serve(telemetryAddr, reg)
 		if err != nil {
 			return fmt.Errorf("telemetry listener: %w", err)
 		}

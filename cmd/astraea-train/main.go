@@ -37,6 +37,7 @@ import (
 	"repro/internal/env"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetryhttp"
 )
 
 func main() {
@@ -63,7 +64,7 @@ func main() {
 		runner.InstrumentProcess(reg)
 	}
 	if *pprofAddr != "" {
-		bound, stop, err := telemetry.Serve(*pprofAddr, reg)
+		bound, stop, err := telemetryhttp.Serve(*pprofAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "astraea-train: pprof:", err)
 			os.Exit(1)

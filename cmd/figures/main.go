@@ -22,6 +22,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetryhttp"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 		runner.InstrumentProcess(reg)
 	}
 	if *pprofAddr != "" {
-		bound, stop, err := telemetry.Serve(*pprofAddr, reg)
+		bound, stop, err := telemetryhttp.Serve(*pprofAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures: pprof:", err)
 			os.Exit(1)

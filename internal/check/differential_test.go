@@ -127,7 +127,10 @@ func TestAQMScenarioReuseDeterministic(t *testing.T) {
 		if a != b {
 			t.Errorf("%T: scenario reuse diverged: %x vs %x", disc, a, b)
 		}
-		rs := runner.MustRunBatch([]runner.Scenario{sc, sc, sc}, 3)
+		rs, err := runner.RunBatch([]runner.Scenario{sc, sc, sc}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, r := range rs {
 			if d := digest(r); d != a {
 				t.Errorf("%T: batch slot %d diverged from serial: %x vs %x", disc, i, d, a)

@@ -49,45 +49,14 @@ func Workers(workers, n int) int {
 // order. If any scenario fails, the first error by submission index is
 // returned alongside the partial results (failed slots are nil).
 func RunBatch(scenarios []Scenario, workers int) ([]*Result, error) {
-	results := make([]*Result, len(scenarios))
-	err := ForEach(len(scenarios), workers, func(i int) error {
-		r, err := Run(scenarios[i])
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	return results, err
+	return RunBatchObserved(context.Background(), scenarios, workers, nil)
 }
 
-// MustRunBatch panics on error; for experiments with static scenario grids.
-func MustRunBatch(scenarios []Scenario, workers int) []*Result {
-	rs, err := RunBatch(scenarios, workers)
-	if err != nil {
-		panic(err)
-	}
-	return rs
-}
-
-// RunBatchCtx is RunBatch with cancellation: once ctx is done, no new
-// scenarios are started (in-flight ones finish) and ctx.Err is reported if
-// no scenario error preceded it. Skipped slots are nil.
-func RunBatchCtx(ctx context.Context, scenarios []Scenario, workers int) ([]*Result, error) {
-	results := make([]*Result, len(scenarios))
-	err := ForEachCtx(ctx, len(scenarios), workers, func(i int) error {
-		r, err := Run(scenarios[i])
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	return results, err
-}
-
-// RunBatchObserved is RunBatchCtx with live batch telemetry on reg (nil reg
-// degrades to RunBatchCtx). Two kinds of metrics are produced:
+// RunBatchObserved is RunBatch with cancellation and live batch telemetry
+// on reg. Once ctx is done, no new scenarios are started (in-flight ones
+// finish), skipped slots stay nil, and ctx.Err is reported if no scenario
+// error preceded it. A nil reg runs the plain batch with no telemetry.
+// Otherwise two kinds of metrics are produced:
 //
 //   - Batch progress, written directly to reg as scenarios start and
 //     finish: started/completed counters, an in-flight gauge, a wall-time
@@ -107,10 +76,19 @@ func RunBatchCtx(ctx context.Context, scenarios []Scenario, workers int) ([]*Res
 // Scenario results remain byte-identical to RunBatch for any worker count,
 // with or without reg.
 func RunBatchObserved(ctx context.Context, scenarios []Scenario, workers int, reg *telemetry.Registry) ([]*Result, error) {
-	if reg == nil {
-		return RunBatchCtx(ctx, scenarios, workers)
-	}
 	n := len(scenarios)
+	if reg == nil {
+		results := make([]*Result, n)
+		err := ForEachWorkerCtx(ctx, n, workers, func(_, i int) error {
+			r, err := Run(scenarios[i])
+			if err != nil {
+				return err
+			}
+			results[i] = r
+			return nil
+		})
+		return results, err
+	}
 	w := Workers(workers, n)
 	started := reg.Counter("runner_scenarios_started_total", "scenarios claimed by a worker")
 	completed := reg.Counter("runner_scenarios_completed_total", "scenarios finished (including failures)")
@@ -180,18 +158,13 @@ func InstrumentProcess(reg *telemetry.Registry) {
 // attempted). It is the building block for experiment sweeps whose jobs are
 // not plain Scenarios (hand-built topologies, multi-bottleneck runs).
 func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, workers, fn)
+	return ForEachWorkerCtx(context.Background(), n, workers, func(_, i int) error { return fn(i) })
 }
 
-// ForEachCtx is ForEach with cancellation: once ctx is done no new indices
-// are claimed. Claimed indices run to completion. Returns the error from
-// the lowest failed index, or ctx.Err if the batch was cut short without an
-// fn error.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return ForEachWorkerCtx(ctx, n, workers, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorkerCtx is ForEachCtx exposing the worker identity: fn receives
+// ForEachWorkerCtx is ForEach with cancellation and the worker identity.
+// Once ctx is done no new indices are claimed; claimed indices run to
+// completion. It returns the error from the lowest failed index, or ctx.Err
+// if the batch was cut short without an fn error. fn receives
 // (worker, index) where worker ∈ [0, Workers(workers, n)). Worker-to-index
 // assignment is scheduling-dependent; use it only for observability (e.g.
 // per-worker throughput counters), never to influence results.

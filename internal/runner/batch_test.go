@@ -39,7 +39,10 @@ func TestRunBatchMatchesSerialInOrder(t *testing.T) {
 	for i, sc := range scs {
 		serial[i] = summarize(MustRun(sc))
 	}
-	par := MustRunBatch(scs, 4)
+	par, err := RunBatch(scs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(par) != len(scs) {
 		t.Fatalf("got %d results, want %d", len(par), len(scs))
 	}
@@ -52,7 +55,10 @@ func TestRunBatchMatchesSerialInOrder(t *testing.T) {
 
 func TestRunBatchSameSeedIdentical(t *testing.T) {
 	scs := []Scenario{batchScenario(7), batchScenario(7)}
-	rs := MustRunBatch(scs, 2)
+	rs, err := RunBatch(scs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a, b := summarize(rs[0]), summarize(rs[1]); a != b {
 		t.Fatalf("same-seed scenarios diverged:\n%s\n%s", a, b)
 	}
@@ -77,10 +83,10 @@ func TestRunBatchPropagatesFirstErrorByIndex(t *testing.T) {
 	}
 }
 
-func TestForEachCtxCancellation(t *testing.T) {
+func TestForEachWorkerCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := ForEachCtx(ctx, 1000, 2, func(i int) error {
+	err := ForEachWorkerCtx(ctx, 1000, 2, func(_, i int) error {
 		if ran.Add(1) == 3 {
 			cancel()
 		}

@@ -2,13 +2,25 @@ package serve
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
-
-	"repro/internal/core"
 )
+
+// DefaultInferTimeout bounds Client.Infer when the caller does not choose a
+// timeout: an unanswered request must surface as an error, not a goroutine
+// parked forever.
+const DefaultInferTimeout = 5 * time.Second
+
+// ErrInferTimeout is returned by Client.Infer when no response arrives
+// within the client's Timeout.
+var ErrInferTimeout = errors.New("serve: inference request timed out")
+
+// ErrClientClosed is returned by Client.Infer when the connection closes
+// (locally or by the peer) while the call is outstanding.
+var ErrClientClosed = errors.New("serve: connection closed with inference call outstanding")
 
 // Client talks to a serve.Server over a stream transport (tcp or unix)
 // with length-prefixed framing. It is safe for concurrent use: calls are
@@ -20,7 +32,7 @@ import (
 type Client struct {
 	conn net.Conn
 
-	// Timeout bounds each Infer call (default core.DefaultInferTimeout;
+	// Timeout bounds each Infer call (default DefaultInferTimeout;
 	// 0 waits forever). Adjust before issuing calls.
 	Timeout time.Duration
 
@@ -52,7 +64,7 @@ func Dial(network, address string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s %s: %w", network, address, err)
 	}
-	return &Client{conn: conn, Timeout: core.DefaultInferTimeout,
+	return &Client{conn: conn, Timeout: DefaultInferTimeout,
 		calls: make(map[uint64]chan clientResult)}, nil
 }
 
@@ -76,9 +88,9 @@ func (c *Client) readLoop() {
 		payload, err := readFrameInto(br, &rbuf)
 		if err != nil {
 			c.mu.Lock()
-			c.dead = core.ErrClientClosed
+			c.dead = ErrClientClosed
 			for id, ch := range c.calls {
-				ch <- clientResult{err: core.ErrClientClosed}
+				ch <- clientResult{err: ErrClientClosed}
 				delete(c.calls, id)
 			}
 			c.mu.Unlock()
@@ -152,7 +164,7 @@ func (c *Client) infer(state []float64, flow uint64, tagged bool) (Result, error
 			// Response raced the timer; the buffer kept it.
 			return r.res, r.err
 		}
-		return Result{}, fmt.Errorf("serve: request %d after %v: %w", id, c.Timeout, core.ErrInferTimeout)
+		return Result{}, fmt.Errorf("serve: request %d after %v: %w", id, c.Timeout, ErrInferTimeout)
 	}
 }
 
@@ -173,7 +185,7 @@ func (c *Client) dropCall(id uint64, ch chan clientResult) (clientResult, bool) 
 }
 
 // Close tears down the connection; outstanding Infer calls return
-// core.ErrClientClosed.
+// ErrClientClosed.
 func (c *Client) Close() error {
 	return c.conn.Close()
 }

@@ -89,33 +89,6 @@ func TestServeRoundTripUnix(t *testing.T) {
 	}
 }
 
-// TestServeDatagramTransport keeps the legacy datagram path working against
-// the new server: a core.ServiceClient (bare codec, no framing) gets a
-// correct action; the serve trailer on the reply is invisible to it.
-func TestServeDatagramTransport(t *testing.T) {
-	cfg := core.DefaultConfig()
-	svc := core.NewService(cfg, constPolicy{0.75})
-	svc.BatchWindow = time.Millisecond
-	srv := NewServer(svc, cfg, Options{})
-	defer srv.Close()
-	addr, err := srv.Listen("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := core.DialService("udp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	got, err := client.Infer(make([]float64, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0.75 {
-		t.Fatalf("datagram Infer = %v", got)
-	}
-}
-
 // TestDeadlineFallback is the headline guarantee: with a policy far slower
 // than the deadline, every sender still gets an answer — the deterministic
 // fallback action, flagged in-band, returned near the deadline rather than

@@ -27,10 +27,11 @@ type Options struct {
 	Shards int
 	// QueueDepth bounds the in-flight requests per shard; a request
 	// arriving with its shard full is shed with a fallback answer.
-	// Default 4×MaxInflight for compatibility, else 1024.
+	// Default 4×MaxInflight when that is set, else 1024.
 	QueueDepth int
-	// MaxInflight is retained for compatibility with the pre-sharding
-	// worker pool; it only feeds the QueueDepth default now.
+	// MaxInflight only feeds the QueueDepth default (4×MaxInflight). It
+	// stays only because the benchmark harness sets it; new callers set
+	// QueueDepth.
 	MaxInflight int
 	// Deadline is the per-request budget measured from the moment the
 	// request is read off the wire. A request the policy has not answered
@@ -261,9 +262,10 @@ func (s *Server) PolicyVersion() uint32 { return s.sharded.PolicyVersion() }
 
 // Listen opens one serving endpoint and starts its I/O loop. Stream
 // networks (tcp, tcp4, tcp6, unix) use length-prefixed framing; datagram
-// networks (udp, udp4, udp6, unixgram) reuse the bare core codec, so
-// existing core.ServiceClient senders keep working against this server.
-// Returns the bound address (useful with port/path 0).
+// networks (udp, udp4, udp6, unixgram) speak the bare core codec, one
+// request per datagram, and reply with the served response payload, whose
+// trailer base-codec decoders can ignore. Returns the bound address
+// (useful with port/path 0).
 func (s *Server) Listen(network, address string) (net.Addr, error) {
 	s.mu.Lock()
 	if s.draining || s.closed {

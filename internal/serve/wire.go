@@ -31,15 +31,16 @@ import (
 // that understands it learns whether the action came from the live policy
 // or the fallback law (and which policy version answered); a sender that
 // only speaks the base codec still gets a usable action, because
-// core.DecodeResponse ignores trailing bytes. Datagram transports reuse the
-// same payloads without the frame prefix.
+// core.DecodeResponse ignores trailing bytes. Datagram transports (udp,
+// unixgram) carry the same payloads bare, one per datagram, without the
+// frame prefix.
 //
 // The request trailer carries the flow identity for sharded admission: all
 // requests tagged with one flow ID hash to one shard and are answered in
 // order, whichever connection they arrive on. An untagged request inherits
 // a per-connection flow identity, so plain senders (one flow per socket)
-// keep strict ordering too. core.DecodeRequest ignores trailing bytes, so
-// tagged requests remain readable by base-codec servers.
+// keep strict ordering too. core.DecodeRequestInto ignores trailing bytes,
+// so tagged requests remain readable by base-codec decoders.
 
 // Response flag bits.
 const (
@@ -80,11 +81,6 @@ const flowTrailerSize = 8
 // largest request the core codec admits plus the flow trailer (responses
 // are far smaller).
 const maxFramePayload = 12 + 8*core.MaxStateDim + flowTrailerSize
-
-// encodeServedResponse builds a response payload with the serve trailer.
-func encodeServedResponse(reqID uint64, action float64, flags, version uint32) []byte {
-	return appendServedResponse(make([]byte, 0, servedResponseSize), reqID, action, flags, version)
-}
 
 // appendServedResponse appends a response payload (base codec + serve
 // trailer) to dst — the allocation-free form for reusable write arenas.

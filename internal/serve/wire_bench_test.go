@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -161,6 +162,11 @@ func TestStreamHotPathZeroAlloc(t *testing.T) {
 	sc := &streamConn{conn: nopConn{}, seed: 1}
 	payload := appendFlowRequest(nil, 7, benchState(cfg.StateDim()), 42, true)[4:]
 
+	// testing.AllocsPerRun measures at GOMAXPROCS 1, where the sweeper does
+	// not run until this goroutine yields, so every measured request takes a
+	// fresh object from the pool. Warm up the same way: with more Ps the
+	// sweeper recycles a handful of objects and the pool stays too small.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Warm the pools: request objects, batch buffers, arenas, dirty lists.
 	for i := 0; i < 1024; i++ {
 		srv.handlePayload(payload, sc, nil, nil)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -193,4 +194,23 @@ func escapeHelp(s string) string {
 	}
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
+}
+
+// WriteFile snapshots the registry to path, choosing the format from the
+// extension: ".json" writes JSON, anything else Prometheus text.
+func WriteFile(path string, reg *Registry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	snap := reg.Snapshot()
+	if strings.HasSuffix(path, ".json") {
+		err = snap.WriteJSON(f)
+	} else {
+		err = snap.WritePrometheus(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

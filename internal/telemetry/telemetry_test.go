@@ -3,9 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -272,34 +269,6 @@ func TestHotPathAllocFree(t *testing.T) {
 	var nilH *Histogram
 	if n := testing.AllocsPerRun(1000, func() { nilC.Inc(); nilH.Observe(1) }); n != 0 {
 		t.Fatalf("disabled instruments allocate %v/op", n)
-	}
-}
-
-func TestServeMetricsAndPprof(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("up_total", "").Inc()
-	addr, shutdown, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	get := func(path string) string {
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		return string(body)
-	}
-	if body := get("/metrics"); !strings.Contains(body, "up_total 1") {
-		t.Fatalf("/metrics missing counter:\n%s", body)
-	}
-	if body := get("/debug/pprof/cmdline"); body == "" {
-		t.Fatal("/debug/pprof/cmdline empty")
 	}
 }
 

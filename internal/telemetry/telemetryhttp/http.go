@@ -1,11 +1,14 @@
-package telemetry
+// Package telemetryhttp exposes a telemetry.Registry over HTTP. It is kept
+// apart from package telemetry so the packages that only record metrics
+// (the simulator, the inference core) do not link the network stack.
+package telemetryhttp
 
 import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"strings"
+
+	"repro/internal/telemetry"
 )
 
 // Serve starts an HTTP server on addr exposing the standard net/http/pprof
@@ -15,7 +18,7 @@ import (
 // an error if the listener cannot be opened. The server runs until close is
 // called; serving errors after a successful start are ignored, as they can
 // only occur during shutdown.
-func Serve(addr string, reg *Registry) (bound string, close func(), err error) {
+func Serve(addr string, reg *telemetry.Registry) (bound string, close func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
@@ -33,23 +36,4 @@ func Serve(addr string, reg *Registry) (bound string, close func(), err error) {
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
-}
-
-// WriteFile snapshots the registry to path, choosing the format from the
-// extension: ".json" writes JSON, anything else Prometheus text.
-func WriteFile(path string, reg *Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	snap := reg.Snapshot()
-	if strings.HasSuffix(path, ".json") {
-		err = snap.WriteJSON(f)
-	} else {
-		err = snap.WritePrometheus(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

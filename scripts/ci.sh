@@ -232,6 +232,11 @@ go test -race -run TestQuantizedClosedLoopEquivalence ./internal/check
 # named: live promotion with monotonic versions and zero drops, gate
 # refusal, and health-triggered automatic rollback.
 go test -race -run 'TestPilot' ./internal/pilot
+# The datagram transports (udp and unixgram round trip, concurrent senders,
+# malformed datagrams, shedding, drain with a request in flight) and the
+# stream client's timeout and close paths under the race detector, named so
+# a transport regression is attributable at a glance.
+go test -race -run 'TestServeDatagram|TestClient' ./internal/serve
 # The race pass needs a generous timeout: the experiment suite and the
 # parallel learner run full simulations under the detector's ~10x slowdown.
 go test -race -timeout 60m ./...
